@@ -24,9 +24,9 @@
 /// Memory reclamation: the JVM original relies on garbage collection.
 /// Here, unlinked nodes are *retired* to a deferred free list and
 /// reclaimed when the map is destroyed, so racing traversals never touch
-/// freed memory (documented substitution in DESIGN.md). Retired nodes
-/// drop their values immediately (under the node lock), so held
-/// resources are released promptly.
+/// freed memory (documented substitution in docs/ARCHITECTURE.md,
+/// "Containers"). Retired nodes drop their values immediately (under
+/// the node lock), so held resources are released promptly.
 ///
 //===----------------------------------------------------------------------===//
 

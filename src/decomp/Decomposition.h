@@ -95,7 +95,8 @@ public:
   bool dominates(NodeId Dom, NodeId N) const;
 
   /// Checks DAG structure + the adequacy conditions of §4.1 (see
-  /// DESIGN.md for the exact rule set). Implemented in Adequacy.cpp.
+  /// docs/ARCHITECTURE.md, "Adequacy rules", for the exact rule set).
+  /// Implemented in Adequacy.cpp.
   ValidationResult validate() const;
 
   /// True if edge \p E may legally be a SingletonCell: the source node's

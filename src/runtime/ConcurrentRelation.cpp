@@ -5,7 +5,9 @@
 //
 //===----------------------------------------------------------------------===//
 ///
-/// Operation protocols (see DESIGN.md for the full argument):
+/// Operation protocols (see docs/ARCHITECTURE.md, "The life of an
+/// operation" and "Concurrency invariants, in one place", for the full
+/// argument):
 ///
 /// * query: compiled by the query planner (§5); executed with shared
 ///   locks; speculative statements may request a transaction restart.
@@ -43,6 +45,7 @@
 #include <algorithm>
 #include <functional>
 #include <thread>
+#include <unordered_set>
 
 using namespace crs;
 
@@ -63,8 +66,7 @@ ConcurrentRelation::ConcurrentRelation(RepresentationConfig Cfg,
   Root = NodeInstance::create(D, D.root(), Tuple(),
                               Config.Placement->nodeStripes(D.root()));
   FastRoot.store(Root.get(), std::memory_order_seq_cst);
-  Mvcc = std::make_unique<MvccStore>(
-      spec(), MvccStore::bucketCountFor(Config.ExpectedCardinality));
+  Mvcc = std::make_unique<MvccStore>(spec());
 }
 
 // Per-operation lock/frame lifetime is ExecContext::OpScope
@@ -550,12 +552,11 @@ ConcurrentRelation::checkpointSnapshot(uint64_t &Watermark) const {
 static void forEachInstance(
     const Decomposition &D, const NodeInstPtr &Root,
     const std::function<void(NodeId, const NodeInstance &)> &Visit) {
-  std::vector<const NodeInstance *> Seen;
+  std::unordered_set<const NodeInstance *> Seen;
   std::function<void(NodeId, const NodeInstPtr &)> Walk =
       [&](NodeId N, const NodeInstPtr &Inst) {
-        if (std::find(Seen.begin(), Seen.end(), Inst.get()) != Seen.end())
-          return;
-        Seen.push_back(Inst.get());
+        if (!Seen.insert(Inst.get()).second)
+          return; // shared instance, reached before along another path
         Visit(N, *Inst);
         for (EdgeId E : D.node(N).OutEdges)
           Inst->containerFor(E).scan(
@@ -700,15 +701,25 @@ ValidationResult ConcurrentRelation::verifyConsistency() const {
     R.Errors.push_back("tuple count " + std::to_string(PathTuples[0].size()) +
                        " disagrees with size() " + std::to_string(size()));
 
-  // Functional dependencies must hold over the represented relation.
+  // Functional dependencies must hold over the represented relation:
+  // sorted by (LHS, RHS) projection, a violation shows as two adjacent
+  // entries that agree on the LHS but not on the RHS.
   if (!PathTuples.empty()) {
     const auto &Tuples = PathTuples[0];
-    for (const auto &Fd : spec().fds())
-      for (size_t I = 0; I < Tuples.size(); ++I)
-        for (size_t J = I + 1; J < Tuples.size(); ++J)
-          if (Tuples[I].project(Fd.Lhs) == Tuples[J].project(Fd.Lhs) &&
-              Tuples[I].project(Fd.Rhs) != Tuples[J].project(Fd.Rhs))
-            R.Errors.push_back("functional dependency violated");
+    for (const auto &Fd : spec().fds()) {
+      std::vector<std::pair<Tuple, Tuple>> Proj;
+      Proj.reserve(Tuples.size());
+      for (const Tuple &T : Tuples)
+        Proj.emplace_back(T.project(Fd.Lhs), T.project(Fd.Rhs));
+      std::sort(Proj.begin(), Proj.end(), [](const auto &A, const auto &B) {
+        int C = A.first.compare(B.first);
+        return C < 0 || (C == 0 && A.second.compare(B.second) < 0);
+      });
+      for (size_t I = 1; I < Proj.size(); ++I)
+        if (Proj[I].first == Proj[I - 1].first &&
+            Proj[I].second != Proj[I - 1].second)
+          R.Errors.push_back("functional dependency violated");
+    }
   }
   return R;
 }

@@ -78,13 +78,6 @@ struct RepresentationConfig {
   std::shared_ptr<const Decomposition> Decomp;
   std::shared_ptr<const LockPlacement> Placement;
   std::string Name;
-  /// Expected live-tuple cardinality (0 = unknown). Sizes the MVCC
-  /// version store's primary hash directory up front
-  /// (MvccStore::bucketCountFor) — the directory is fixed for the
-  /// store's lifetime, so a relation expected to hold millions of
-  /// tuples should say so here rather than degrade into long
-  /// intra-bucket chain lists.
-  size_t ExpectedCardinality = 0;
 };
 
 /// A concurrent relation with a synthesized representation.

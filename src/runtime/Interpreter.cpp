@@ -37,6 +37,13 @@ void ExecContext::reset() {
   Vars.clear();
 }
 
+NodeInstPtr ExecContext::pooledOwnerOf(const PhysicalLock &Lock) const {
+  for (const NodeInstPtr &P : Pool)
+    if (&Lock >= P->Stripes.get() && &Lock < P->Stripes.get() + P->NumStripes)
+      return P;
+  return nullptr;
+}
+
 void ExecContext::begin(uint32_t NumNodes, PlanVar NumVars,
                         const Tuple &Input, NodeInstPtr Root,
                         NodeId RootNode) {

@@ -128,6 +128,11 @@ public:
     Pool.resize(Mark);
   }
 
+  /// The pooled instance whose stripes include \p Lock, or null: a
+  /// dying transaction keeps the contended lock alive with it while it
+  /// waits for the lock's holder (txn/Transaction.cpp, wait-die).
+  NodeInstPtr pooledOwnerOf(const PhysicalLock &Lock) const;
+
   /// The calling thread's execution context (one per thread, reused
   /// across operations and relations; arena capacity is recycled).
   static ExecContext &current();

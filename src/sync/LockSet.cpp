@@ -79,8 +79,10 @@ AcquireResult LockSet::tryAcquire(PhysicalLock &Lock, const LockOrderKey &Key,
     // design (the holder may release concurrently — then this reads 0
     // or a successor's stamp); the transaction layer treats 0 as
     // "unknown" and falls back to its bounded budget.
-    if (BirthStamp != 0)
+    if (BirthStamp != 0) {
       LastConflict = Lock.ownerStamp();
+      LastConflictLock = &Lock;
+    }
     return AcquireResult::WouldBlock;
   }
   if (BirthStamp != 0 && Mode == LockMode::Exclusive)
@@ -107,6 +109,18 @@ TxnAcquire LockSet::acquireTxn(PhysicalLock &Lock, const LockOrderKey &Key,
     return TxnAcquire::Upgrade;
   }
   if (MayBlock && inOrder(Key)) {
+    // Wait-die holds for blocking requests too: a scope already holding
+    // locks must not queue behind an older scope, which may be
+    // try-waiting for one of them — a cycle that only the senior's try
+    // budget would break, always against the senior. Die instead.
+    if (BirthStamp != 0 && !Held.empty()) {
+      if (tryAcquire(Lock, Key, Mode) == AcquireResult::Ok)
+        return TxnAcquire::Ok;
+      if (LastConflict != 0 && LastConflict < BirthStamp)
+        return TxnAcquire::WouldBlock;
+      LastConflict = 0;
+      LastConflictLock = nullptr;
+    }
     acquire(Lock, Key, Mode);
     return TxnAcquire::Ok;
   }

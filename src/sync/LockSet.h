@@ -85,11 +85,14 @@ public:
 
   /// Transaction-scope acquisition: across chained operations the set's
   /// MaxKey reflects the *whole scope*, so a later op's locks may fall
-  /// below it. In-order requests block (when \p MayBlock); out-of-order
-  /// requests go through the try path, and a failure surfaces as
-  /// WouldBlock for the caller's bounded wait-die abort path — no
-  /// acquisition ever blocks out of order, so the waits-for graph of
-  /// blocking edges stays acyclic across transaction scopes. A request
+  /// below it. In-order requests block (when \p MayBlock), unless a
+  /// stamped scope that already holds locks would queue behind an older
+  /// holder: that reports WouldBlock (wait-die: the younger dies, never
+  /// waits). Out-of-order requests go through the try path, and a
+  /// failure surfaces as WouldBlock for the caller's bounded wait-die
+  /// abort path — no acquisition ever blocks out of order, so the
+  /// waits-for graph of blocking edges stays acyclic across transaction
+  /// scopes. A request
   /// to escalate a held shared lock reports Upgrade (a shared_mutex
   /// cannot upgrade atomically; the transaction layer avoids this by
   /// locking reads exclusively, and treats Upgrade as an abort).
@@ -154,10 +157,14 @@ public:
   /// The owner stamp of the lock behind the most recent WouldBlock,
   /// consumed (reset to 0) by the read — each failed try reports at
   /// most once, so a stale stamp can never kill a later, unrelated
-  /// retry.
-  uint64_t takeLastConflictStamp() {
+  /// retry. \p Lock (optional) receives that lock, or null; the caller
+  /// must keep its owner alive before dereferencing it.
+  uint64_t takeLastConflictStamp(const PhysicalLock **Lock = nullptr) {
     uint64_t S = LastConflict;
+    if (Lock)
+      *Lock = S ? LastConflictLock : nullptr;
     LastConflict = 0;
+    LastConflictLock = nullptr;
     return S;
   }
   /// @}
@@ -185,6 +192,7 @@ private:
   uint64_t Restarts = 0;
   uint64_t BirthStamp = 0;    ///< this scope's wait-die age (0: bare op)
   uint64_t LastConflict = 0;  ///< holder stamp behind the last WouldBlock
+  const PhysicalLock *LastConflictLock = nullptr; ///< ...and its lock
   bool HasMaxKey = false;
   LockOrderKey MaxKey;
   uint32_t DomainTier = 0;

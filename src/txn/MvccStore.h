@@ -34,13 +34,33 @@
 ///
 /// **Readers** walk bucket → chain → version lists entirely lock-free
 /// under an EpochDomain guard (the caller pins the guard; asserted in
-/// debug). Writers publish with release stores under short per-bucket
+/// debug). Writers publish with release stores under short stripe
 /// mutexes, unlink dead versions by swinging predecessor pointers, and
 /// retire unlinked nodes through EpochDomain::global() — the RCU
 /// discipline of sync/Epoch.h. A reader may harmlessly see a stale
 /// End of 0 for a version being terminated: the terminating commit's
 /// sequence is above every extant snapshot (in-flight registry), so
 /// the visibility verdict is unchanged.
+///
+/// **Growth.** The primary table and every secondary directory are
+/// hash tables that double with their contents (Xu's two-link scheme
+/// for RCU-protected resizable tables; cf. Triplett, McKenney &
+/// Walpole, USENIX ATC 2011). Writers lock one of a fixed set of
+/// stripes (stripe = hash mod the stripe count, bucket = hash mod the
+/// bucket count, both powers of two, so a stripe always owns the same
+/// residue class of buckets). The bucket-head array is published
+/// through an atomic pointer; every list node carries two links, and
+/// each table generation threads its lists through one of them
+/// (alternating). A grow holds every stripe, threads the *other* link
+/// of each node into a fresh, twice-as-large array, publishes it, and
+/// retires the old array through the epoch domain — readers still on
+/// the old array keep walking their link undisturbed, so no node is
+/// ever relinked under a lock-free reader. That link is rewritten only
+/// by the grow after next, which therefore waits (skips) until the
+/// previous array has been reclaimed, i.e. until every such reader has
+/// left. A grow is triggered by the walk length a writer observes
+/// under its stripe (MaxWalk) and capped by the live version count, so
+/// there is no sizing knob and no shared counter on the write path.
 ///
 /// **Reclamation** is bounded by the minimum active snapshot: prune()
 /// unlinks every version with 0 < End ≤ watermark (invisible to every
@@ -58,14 +78,17 @@
 /// table from the projected sub-key to the chains extending it. Only
 /// identity columns participate — a chain's key never changes, so a
 /// link is installed once when the chain is created and removed once
-/// when the chain empties, both under the chain's primary bucket
-/// mutex; readers walk directory buckets lock-free under the same
-/// epoch guard. A new directory is published to the registry first and
-/// then backfilled from the live chains bucket by bucket; readers
+/// when the chain empties, both under the chain's primary stripe mutex
+/// (then the directory's own stripe); readers walk directory buckets
+/// lock-free under the same epoch guard. Links of one sub-key stay
+/// contiguous in their bucket, so a reader stops at the end of its
+/// group and the grow trigger counts foreign groups, not a sub-key's
+/// own fan-out. A new directory is published to the registry first and
+/// then backfilled from the live chains stripe by stripe; readers
 /// ignore it until the backfill completes (Ready), while installers
-/// observe it through the bucket-mutex ordering, so no chain created
+/// observe it through the stripe-mutex ordering, so no chain created
 /// during the backfill is missed and duplicates are impossible (links
-/// dedup under the directory bucket mutex). Directories survive
+/// dedup under the directory stripe mutex). Directories survive
 /// migrateTo untouched — the store is decomposition-independent by
 /// design — but are *not* immortal: when a query signature leaves the
 /// plan cache (adaptPlans recompiles against a changed workload and the
@@ -110,22 +133,14 @@ struct SnapshotQueryStats {
 };
 
 /// The per-relation MVCC version store. Thread-safe per the file
-/// comment: lock-free epoch-guarded readers, bucket-locked writers.
+/// comment: lock-free epoch-guarded readers, stripe-locked writers.
 class MvccStore {
 public:
   /// Builds the store for \p Spec: tuple identity is the spec's first
   /// minimal key (every column when the spec has no proper key — each
   /// tuple is then its own identity and updates-in-place do not
-  /// exist). \p NumBuckets fixes the hash directory (never resized —
-  /// readers hold raw bucket pointers).
-  explicit MvccStore(const RelationSpec &Spec, unsigned NumBuckets = 256);
-
-  /// Primary directory size for an expected tuple cardinality: the
-  /// power of two giving ~2 chains per bucket, clamped to [64, 2^20];
-  /// 0 (unknown) keeps the 256 default. The count is fixed for the
-  /// store's lifetime, so callers size it from
-  /// RepresentationConfig::ExpectedCardinality up front.
-  static unsigned bucketCountFor(size_t ExpectedCardinality);
+  /// exist). The tables start small and grow with the contents.
+  explicit MvccStore(const RelationSpec &Spec);
   ~MvccStore();
   MvccStore(const MvccStore &) = delete;
   MvccStore &operator=(const MvccStore &) = delete;
@@ -222,10 +237,14 @@ public:
   /// Versions currently linked (installed − retired).
   uint64_t liveVersions() const { return installed() - retired(); }
   /// Longest chain list hanging off one primary bucket right now — the
-  /// hash-quality metric the stress lane bounds (a store sized from
-  /// the expected cardinality must not degrade into long intra-bucket
-  /// lists). Pins its own epoch guard; lock-free.
+  /// hash-quality metric the stress lane bounds (growth must keep the
+  /// lists short however many chains the store holds). Pins its own
+  /// epoch guard; lock-free.
   size_t maxBucketChainLength() const;
+  /// Current primary bucket count (lock-free, racy under grows).
+  size_t bucketCount() const;
+  /// Table doublings so far, primary and secondary directories alike.
+  uint64_t grows() const { return Grows.load(std::memory_order_relaxed); }
   /// installRemove calls that found no live version to end. Tolerated
   /// for idempotent replay (recovery), but outside recovery the
   /// commit protocol makes them impossible — the snapshot stress
@@ -238,30 +257,42 @@ public:
 private:
   struct Version;
   struct Chain;
-  struct Bucket;
   struct DirLink;
-  struct DirBucket;
   struct Directory;
+  template <typename NodeT> class Index;
+  /// A writer's handle on one primary bucket (see MvccStore.cpp).
+  struct Slot;
 
-  Bucket &bucketFor(const Tuple &Key) const;
-  /// Finds \p Key's chain in \p B (lock-free walk), or null.
-  Chain *findChain(const Bucket &B, const Tuple &Key) const;
-  /// Finds or links \p Key's chain; call with \p B's mutex held. A
-  /// newly created chain is linked into every registered directory.
-  Chain *findOrCreateChain(Bucket &B, const Tuple &Key);
+  /// Locates \p Key's chain (call with the key's primary stripe held);
+  /// fills \p S with its bucket and walk length. Null when absent.
+  Chain *findChainLocked(const Tuple &Key, uint64_t Hash, Slot &S) const;
+  /// Finds or links \p Key's chain; call with its stripe held. A newly
+  /// created chain is linked into every registered directory; sets
+  /// \p DirWantsGrow when one of those links walked too far.
+  Chain *findOrCreateChain(const Tuple &Key, uint64_t Hash, Slot &S,
+                           bool &DirWantsGrow);
   /// Unlinks dead versions of \p C below \p Watermark and, when the
   /// chain empties, the chain itself (plus its directory links); call
-  /// with the bucket mutex held.
-  size_t pruneChainLocked(Bucket &B, Chain *C, uint64_t Watermark);
-  /// Links \p C into \p D (dedup under the directory bucket mutex);
-  /// call with \p C's primary bucket mutex held.
-  void linkChainToDir(Directory &D, Chain *C);
+  /// with the chain's stripe held.
+  size_t pruneChainLocked(const Slot &S, Chain *C, uint64_t Watermark);
+  /// Links \p C into \p D (dedup under the directory stripe mutex);
+  /// call with \p C's primary stripe held. Returns true when the walk
+  /// says \p D should grow.
+  bool linkChainToDir(Directory &D, Chain *C);
   /// The ready directory with the most columns ⊆ \p QueryDom, or null.
   Directory *directoryFor(ColumnSet QueryDom) const;
+  /// Grow entry points; call with no stripe held.
+  void growPrimary(size_t SeenBuckets);
+  void growDirectory(Directory &D);
+  /// Grows every registered directory a long walk flagged.
+  void growDirectories();
+  /// A table never outgrows the live version count.
+  size_t growCap() const { return static_cast<size_t>(liveVersions()); }
 
   ColumnSet KeyCols;
   ColumnSet AllCols;
-  std::vector<std::unique_ptr<Bucket>> Buckets;
+  std::unique_ptr<Index<Chain>> Primary;
+  std::atomic<uint64_t> Grows{0};
   std::atomic<uint64_t> Installed{0};
   std::atomic<uint64_t> Retired{0};
   std::atomic<uint64_t> RemoveNoops{0};
@@ -274,7 +305,7 @@ private:
   /// epoch guard*). Shrinks only via retireStaleDirectories, which
   /// unlinks under DirsM and epoch-retires — see the file comment.
   std::atomic<Directory *> Dirs{nullptr};
-  std::mutex DirsM; ///< serializes directory creation/backfill/retire
+  std::mutex DirsM; ///< serializes directory creation/retire
 };
 
 } // namespace crs

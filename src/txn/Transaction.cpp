@@ -300,6 +300,13 @@ bool Transaction::execOp(const PreparedOpImpl &Impl, const Value *Args,
       return true;
     }
     Ctx->Locks.releaseToMark(LockMark);
+    const PhysicalLock *Contended = nullptr;
+    uint64_t Holder = Ctx->Locks.takeLastConflictStamp(&Contended);
+    bool Senior = Holder != 0 && Holder < BirthStamp;
+    // A scope killed by a senior holder waits for it below; pin the
+    // contended lock's instance before the pool lets go of it.
+    NodeInstPtr ContendedOwner =
+        Senior && !Nested ? Ctx->pooledOwnerOf(*Contended) : nullptr;
     Ctx->rollbackPool(PoolMark);
     Frame.MirrorBuf.resize(MirrorMark);
     ++Restarts;
@@ -315,9 +322,18 @@ bool Transaction::execOp(const PreparedOpImpl &Impl, const Value *Args,
     // younger holder lets this scope keep retrying for free. A zero
     // stamp (bare operation, or the holder released between the failed
     // try and the read) falls back to the bounded budget.
-    uint64_t Holder = Ctx->Locks.takeLastConflictStamp();
-    if (Holder != 0 && Holder < BirthStamp) {
+    if (Senior) {
       abortWith(TxnAbortCause::Conflict); // younger dies (wait-die)
+      // ...and, holding nothing now, waits (boundedly) for the senior
+      // to let go before the caller retries. Restarting at once would
+      // re-take its in-order locks by blocking acquire and beat the
+      // senior's try-and-yield to them every time: the senior never
+      // finishes, so this scope dies again on the next attempt. Nested
+      // scopes skip it: their sharded parent still holds other shards.
+      if (ContendedOwner)
+        for (unsigned I = 0;
+             I < SeniorityWaits && Contended->ownerStamp() == Holder; ++I)
+          std::this_thread::yield();
       return false;
     }
     if (Holder != 0 && Holder > BirthStamp) {
@@ -573,10 +589,12 @@ void Transaction::rollbackUndo() {
                "undo-insert failed to locate the tuple it must remove");
         break;
       }
-      // A failed try against a speculative reader's transient lock:
+      // A failed try against a speculative reader's transient lock, or
+      // against an older scope's lock (wait-die, LockSet::acquireTxn):
       // shed the attempt and go again — readers holding such locks
-      // never block on anything this scope holds except in order, so
-      // this loop terminates (see the deadlock argument in the header).
+      // never block on anything this scope holds except in order, and
+      // an older scope's wait on it is bounded, so this loop terminates
+      // (see the deadlock argument in the header).
       Ctx->Locks.releaseToMark(LockMark);
       Ctx->rollbackPool(PoolMark);
       std::this_thread::yield();

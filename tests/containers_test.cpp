@@ -30,6 +30,7 @@
 
 #include <atomic>
 #include <map>
+#include <set>
 #include <thread>
 
 using namespace crs;
@@ -295,6 +296,78 @@ template <typename Map> void runConcurrentStress(Map &M) {
 TEST(ConcurrentHashMapStress, WritersAndReaders) {
   ConcurrentHashMap<int64_t, int64_t, IntHash> M;
   runConcurrentStress(M);
+}
+
+TEST(ConcurrentHashMapStress, GrowsUnderLookupsInsertsErasesAndScans) {
+  // The table starts at 16 buckets and doubles while writers churn
+  // their own key ranges. A stable key set, present throughout, must be
+  // found by every lookup and seen exactly once by every scan, however
+  // many grows the scan straddles; afterwards the map must equal the
+  // writers' models.
+  ConcurrentHashMap<int64_t, int64_t, IntHash> M;
+  constexpr int64_t Stable = 512, Writers = 2, PerWriter = 6000;
+  for (int64_t K = 0; K < Stable; ++K)
+    ASSERT_TRUE(M.insertOrAssign(K, -K));
+  size_t Before = M.bucketCount();
+  std::atomic<bool> Stop{false};
+  std::atomic<int> Errors{0};
+  std::vector<std::map<int64_t, int64_t>> Models(Writers);
+  std::vector<std::thread> Threads;
+  for (int64_t W = 0; W < Writers; ++W)
+    Threads.emplace_back([&, W] {
+      Xoshiro256 Rng(90 + W);
+      int64_t Base = (W + 1) * 1000000;
+      for (int64_t I = 0; I < PerWriter; ++I) {
+        int64_t K = Base + I;
+        M.insertOrAssign(K, I);
+        Models[W][K] = I;
+        if (Rng.nextBounded(4) == 0) {
+          int64_t Victim = Base + int64_t(Rng.nextBounded(uint64_t(I + 1)));
+          if (M.erase(Victim) != (Models[W].erase(Victim) > 0))
+            ++Errors;
+        }
+      }
+    });
+  for (int R = 0; R < 2; ++R)
+    Threads.emplace_back([&, R] {
+      Xoshiro256 Rng(7 + R);
+      while (!Stop.load(std::memory_order_acquire)) {
+        int64_t K = int64_t(Rng.nextBounded(Stable)), V = 0;
+        if (!M.lookup(K, V) || V != -K)
+          ++Errors;
+        std::vector<int> Seen(Stable, 0);
+        std::set<int64_t> Churned;
+        M.scan([&](const int64_t &Key, const int64_t &) {
+          if (Key < Stable)
+            ++Seen[size_t(Key)];
+          else if (!Churned.insert(Key).second)
+            ++Errors; // a churned key visited twice in one scan
+          return true;
+        });
+        for (int C : Seen)
+          if (C != 1)
+            ++Errors;
+      }
+    });
+  for (int64_t W = 0; W < Writers; ++W)
+    Threads[size_t(W)].join();
+  Stop.store(true, std::memory_order_release);
+  for (size_t T = size_t(Writers); T < Threads.size(); ++T)
+    Threads[T].join();
+  EXPECT_EQ(Errors.load(), 0);
+  EXPECT_GT(M.bucketCount(), Before * 8) << "the table should have grown";
+  std::map<int64_t, int64_t> Want;
+  for (int64_t K = 0; K < Stable; ++K)
+    Want[K] = -K;
+  for (const auto &Model : Models)
+    Want.insert(Model.begin(), Model.end());
+  std::map<int64_t, int64_t> Got;
+  M.scan([&](const int64_t &K, const int64_t &V) {
+    Got.emplace(K, V);
+    return true;
+  });
+  EXPECT_EQ(Got, Want);
+  EXPECT_EQ(M.size(), Want.size());
 }
 
 TEST(ConcurrentSkipListStress, WritersAndReaders) {

@@ -489,8 +489,9 @@ TEST(ObsRetire, AdaptPlansRetiresColdDirectories) {
   R.adaptPlans();
   EXPECT_EQ(R.mvccStore().directoryCount(), 1u);
   EXPECT_EQ(R.mvccStore().directoriesRetired(), 1u);
+  auto Snap = Reg.snapshot(); // findCounter points into it
   const auto *Retired =
-      findCounter(Reg.snapshot(), "relation.mvcc.directories_retired");
+      findCounter(Snap, "relation.mvcc.directories_retired");
   ASSERT_NE(Retired, nullptr);
   EXPECT_EQ(Retired->Value, 1u);
   EXPECT_TRUE(hasKind(Reg.ring(EventDomain::Relation).snapshot(),

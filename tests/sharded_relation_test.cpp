@@ -362,7 +362,7 @@ TEST(ShardedRelation, FanOutQueriesDuringShardMigrationLoseNothing) {
 
   // Churn on disjoint keys (srcs ≥ 1000, dsts ≠ 777) from one writer
   // thread while another migrates the shards one at a time, twice.
-  std::atomic<bool> Done{false};
+  std::atomic<bool> Done{false}, Querying{false};
   std::thread Churn([&] {
     Xoshiro256 Rng(42);
     while (!Done.load(std::memory_order_acquire)) {
@@ -375,6 +375,10 @@ TEST(ShardedRelation, FanOutQueriesDuringShardMigrationLoseNothing) {
     }
   });
   std::thread Migrator([&] {
+    // Migrate only once the query loop runs: started first, the four
+    // migrations could all finish before the loop's first round.
+    while (!Querying.load(std::memory_order_acquire))
+      std::this_thread::yield();
     for (const RepresentationConfig &Target :
          {splitStriped(), stickCoarse()})
       for (unsigned Shard = 0; Shard < 2; ++Shard) {
@@ -389,6 +393,7 @@ TEST(ShardedRelation, FanOutQueriesDuringShardMigrationLoseNothing) {
   // a lost tuple (missed by backfill), a duplicate (mirrored twice),
   // or a torn weight would all surface here.
   uint64_t Rounds = 0;
+  Querying.store(true, std::memory_order_release);
   while (!Done.load(std::memory_order_acquire)) {
     std::set<int64_t> Seen;
     uint32_t States = 0;

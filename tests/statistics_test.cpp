@@ -71,6 +71,27 @@ TEST(Statistics, SharedNodesCountedOnce) {
   EXPECT_EQ(Stats.NodeInstances, 21u);
 }
 
+TEST(Statistics, WholeRelationWalksAreNotQuadratic) {
+  // collectStatistics() dedups shared instances and verifyConsistency()
+  // checks functional dependencies; both used to compare every pair
+  // (instances, tuples). At 50k tuples that is ~10^9 comparisons —
+  // minutes — so this test finishing at all is the regression check.
+  RepresentationConfig Config = makeGraphRepresentation(
+      {GraphShape::Diamond, PlacementSchemeKind::Fine, 1,
+       ContainerKind::HashMap, ContainerKind::HashMap});
+  ASSERT_TRUE(Config.Placement);
+  const RelationSpec &Spec = *Config.Spec;
+  ConcurrentRelation R(Config);
+  constexpr int64_t N = 50000;
+  for (int64_t I = 0; I < N; ++I)
+    ASSERT_TRUE(R.insert(gKey(Spec, I, I + 1), gWeight(Spec, I)));
+  RelationStatistics Stats = R.collectStatistics();
+  // Diamond: root + N x + N y + N shared z + N w.
+  EXPECT_EQ(Stats.NodeInstances, size_t(1 + 4 * N));
+  ValidationResult V = R.verifyConsistency();
+  EXPECT_TRUE(V.ok()) << V.str();
+}
+
 TEST(Statistics, LockTrafficIsRecorded) {
   RepresentationConfig Config = makeGraphRepresentation(
       {GraphShape::Split, PlacementSchemeKind::Coarse, 1,

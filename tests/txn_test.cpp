@@ -405,6 +405,57 @@ TEST(Txn, WaitDieFairnessUnderCrossOrderContention) {
   EXPECT_EQ(R.size(), 8u);
 }
 
+TEST(Txn, WaitDieHotPairCommitsWithinBoundedAttempts) {
+  // Two threads rewrite the same two keys in opposite orders, over and
+  // over. A scope killed by a senior holder must not restart straight
+  // into the senior's way (re-taking its first key by blocking acquire
+  // while the senior try-locks it): that livelock gave up transactions
+  // after a thousand attempts. Every logical transaction must commit,
+  // and within a bounded number of attempts.
+  ConcurrentRelation R(splitStriped());
+  const RelationSpec &Spec = R.spec();
+  Handles H(R);
+  ASSERT_TRUE(R.insert(key(Spec, 0, 0), weight(Spec, 0)));
+  ASSERT_TRUE(R.insert(key(Spec, 1, 0), weight(Spec, 0)));
+
+  constexpr unsigned Scopes = 400, MaxAttempts = 200;
+  std::atomic<unsigned> Failed{0}, WorstAttempts{0};
+  auto Worker = [&](int64_t First, int64_t Second) {
+    for (unsigned I = 0; I < Scopes; ++I) {
+      unsigned Attempts = 0;
+      bool Ok = runTransaction(
+          R,
+          [&](Transaction &Txn) {
+            ++Attempts;
+            for (int64_t K : {First, Second}) {
+              unsigned Removed = 0;
+              if (!Txn.remove(H.Rem, {Value::ofInt(K), Value::ofInt(0)},
+                              &Removed) ||
+                  !Txn.insert(H.Ins, {Value::ofInt(K), Value::ofInt(0),
+                                      Value::ofInt(int64_t(I))}))
+                return true; // died: runTransaction retries
+            }
+            return true;
+          },
+          MaxAttempts);
+      Failed += !Ok;
+      unsigned Seen = WorstAttempts.load();
+      while (Attempts > Seen &&
+             !WorstAttempts.compare_exchange_weak(Seen, Attempts)) {
+      }
+    }
+  };
+  std::thread A(Worker, 0, 1), B(Worker, 1, 0);
+  A.join();
+  B.join();
+  EXPECT_EQ(Failed.load(), 0u)
+      << "transactions gave up after " << MaxAttempts << " attempts";
+  EXPECT_LE(WorstAttempts.load(), MaxAttempts);
+  EXPECT_EQ(R.size(), 2u);
+  ValidationResult V = R.verifyConsistency();
+  EXPECT_TRUE(V.ok()) << V.str();
+}
+
 //===----------------------------------------------------------------------===//
 // Epoch abort-and-retry
 //===----------------------------------------------------------------------===//
