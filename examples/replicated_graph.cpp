@@ -28,7 +28,6 @@
 
 #include "autotune/Autotuner.h"
 #include "support/Rng.h"
-#include "sync/CommitClock.h"
 #include "txn/Transaction.h"
 #include "wal/Checkpoint.h"
 #include "wal/Follower.h"
@@ -110,7 +109,7 @@ int main() {
   ShardedInsert Put = Bank.prepareInsert(Spec.cols({"src", "dst"}));
   ShardedRemove Drop = Bank.prepareRemove(Spec.cols({"src", "dst"}));
 
-  std::atomic<uint64_t> Committed{0}, Transfers{0};
+  std::atomic<uint64_t> Committed{0}, Transfers{0}, MaxCommitSeq{0};
   std::vector<std::thread> Workers;
   for (unsigned T = 0; T < NumThreads; ++T)
     Workers.emplace_back([&, T] {
@@ -141,6 +140,15 @@ int main() {
               !Txn.insert(Put, {Value::ofInt(B), Value::ofInt(0),
                                 Value::ofInt(BalB + X)}))
             return true;
+          // Commit by hand to keep the commit sequence: the follower's
+          // catch-up target below.
+          if (Txn.commit()) {
+            uint64_t Seq = Txn.commitSeq();
+            uint64_t Prev = MaxCommitSeq.load(std::memory_order_relaxed);
+            while (Prev < Seq &&
+                   !MaxCommitSeq.compare_exchange_weak(Prev, Seq))
+              ;
+          }
           return true;
         });
         if (Ok)
@@ -164,10 +172,12 @@ int main() {
     W.join();
 
   // ---- replication check: drain the follower, compare states --------
-  // The writers have quiesced, so the clock's current reading bounds
-  // every commitSeq ever stamped; waitApplied turns that into "fully
-  // caught up" (a healed gap publishes the same floor via backfill).
-  bool FollowerCaughtUp = Follower.waitApplied(commitClockNow());
+  // The writers have quiesced, so the largest commitSeq they were handed
+  // is the last record the follower must apply (a healed gap publishes
+  // the same floor via backfill); stop() then drains the rest. The
+  // commit clock is no target: the replica's own applies draw stamps
+  // from it, so it keeps moving while the follower catches up.
+  bool FollowerCaughtUp = Follower.waitApplied(MaxCommitSeq.load());
   Follower.stop();
   std::vector<Tuple> PrimaryState = sorted(Bank.scanAll());
   bool FollowerMatches =

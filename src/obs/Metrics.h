@@ -14,9 +14,10 @@
 ///
 /// The overhead argument mirrors the rest of the runtime:
 ///
-///  - Counters are cache-line-striped exactly like the runtime's
-///    StripedCounter — an increment is one relaxed fetch_add on a
-///    per-stripe private line, never a shared-line RMW.
+///  - Counters are cache-line-striped — an increment is one relaxed
+///    fetch_add on a per-stripe private line, never a shared-line RMW.
+///    They are the runtime's one counter type: relations, plan caches
+///    and transactions count in them too, registered or not.
 ///  - Histograms record in one relaxed fetch_add per sample: the value
 ///    indexes a power-of-two bucket (floor(log2 nanos)) in a striped
 ///    bucket array. p50/p95/p99 come out of the bucket counts at
@@ -62,13 +63,28 @@ namespace obs {
 /// consistent label order.
 using MetricLabels = std::vector<std::pair<std::string, std::string>>;
 
-/// A cache-line-striped relaxed counter (the registry-owned twin of
-/// runtime/Statistics.h's StripedCounter, with an add() for byte-sized
-/// increments). Monotonic; readers diff successive loads.
+namespace detail {
+/// This thread's stripe ordinal, shared by every striped metric: each
+/// thread takes the next ordinal at first use, so up to N threads never
+/// share one of N stripes. Callers reduce it modulo their stripe count.
+inline unsigned threadOrdinal() {
+  static std::atomic<unsigned> Next{0};
+  static thread_local const unsigned Mine =
+      Next.fetch_add(1, std::memory_order_relaxed);
+  return Mine;
+}
+} // namespace detail
+
+/// A cache-line-striped relaxed event counter for hot per-operation
+/// counting: a single shared atomic would turn every counted operation
+/// into an RMW on one line bouncing between all cores. inc(N) takes
+/// byte-sized increments too. Monotonic and relaxed: readers diff
+/// successive loads; exactness at an instant is not the contract.
 class Counter {
 public:
   void inc(uint64_t N = 1) {
-    Stripes[threadStripe()].N.fetch_add(N, std::memory_order_relaxed);
+    Stripes[detail::threadOrdinal() % NumStripes].N.fetch_add(
+        N, std::memory_order_relaxed);
   }
   uint64_t load() const {
     uint64_t Sum = 0;
@@ -82,12 +98,6 @@ private:
   struct alignas(64) Stripe {
     std::atomic<uint64_t> N{0};
   };
-  static unsigned threadStripe() {
-    static std::atomic<unsigned> Next{0};
-    static thread_local const unsigned Mine =
-        Next.fetch_add(1, std::memory_order_relaxed) % NumStripes;
-    return Mine;
-  }
   Stripe Stripes[NumStripes];
 };
 
@@ -115,7 +125,7 @@ public:
   static constexpr unsigned NumBuckets = 64;
 
   void record(uint64_t Nanos) {
-    Stripe &S = Stripes[threadStripe()];
+    Stripe &S = Stripes[detail::threadOrdinal() % NumStripes];
     S.Buckets[bucketOf(Nanos)].fetch_add(1, std::memory_order_relaxed);
     S.Sum.fetch_add(Nanos, std::memory_order_relaxed);
     uint64_t Seen = S.Max.load(std::memory_order_relaxed);
@@ -153,18 +163,12 @@ private:
   static unsigned bucketOf(uint64_t Nanos) {
     return 63u - static_cast<unsigned>(__builtin_clzll(Nanos | 1));
   }
-  static unsigned threadStripe() {
-    static std::atomic<unsigned> Next{0};
-    static thread_local const unsigned Mine =
-        Next.fetch_add(1, std::memory_order_relaxed) % NumStripes;
-    return Mine;
-  }
   Stripe Stripes[NumStripes];
 };
 
 /// One registry capture: every metric's value, every ring's recent
 /// events, at roughly one instant (counters are relaxed, so "roughly"
-/// is the contract — see StripedCounter).
+/// is the contract — see Counter).
 struct MetricsSnapshot {
   struct CounterSample {
     std::string Name;

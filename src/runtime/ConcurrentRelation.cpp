@@ -29,9 +29,10 @@
 /// validity-checked IR, using a reusable per-thread ExecContext; plans
 /// come from a sharded wait-free-read cache. The legacy Tuple-based
 /// methods and the prepared handles (runtime/PreparedOp.h) are both
-/// thin wrappers over the shared run*Plan paths below — the prepared
-/// path just arrives with its plan pre-resolved and its input rebound
-/// in the thread's scratch tuple.
+/// thin wrappers over one exec* entry per operation kind below: the
+/// legacy methods resolve through the plan cache, the prepared handles
+/// through their epoch-bound plan and the thread's rebound scratch
+/// tuple.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -199,13 +200,57 @@ std::string ConcurrentRelation::explainTxn(PlanOp Op, ColumnSet DomS) const {
   return crs::explainTxn(*Forward, *Inverse);
 }
 
+// The one execution protocol. Every client surface — the legacy
+// Tuple-based methods and the prepared handles — runs through these
+// three entries, passing only how it resolves its plan.
+//
+// Locked executions hold the gate from before plan resolution until
+// after execution: a migration flip that closes the gate is therefore
+// atomic with respect to entire operations — none can resolve a plan
+// under one representation regime and execute it under the next
+// (runtime/Migration.h). The epoch guard nests *inside* the gate
+// (never the reverse): blocking on a closed gate while pinning an
+// epoch would deadlock the flip's synchronize.
 uint32_t
-ConcurrentRelation::runQueryPlan(const Plan &P, const Tuple &Input,
-                                 function_ref<void(const Tuple &)> Visit) const {
-  assert(EpochDomain::global().inGuard() &&
-         "plan execution requires an epoch guard (snapshots reclaim)");
+ConcurrentRelation::execQuery(function_ref<const Plan *()> Resolve,
+                              const Tuple &Input,
+                              function_ref<void(const Tuple &)> Visit) const {
   NumQueries.inc();
   ExecContext &Ctx = ExecContext::current();
+  {
+    EpochDomain::Guard EG;
+    // Flag check *inside* the guard: the retirement flip clears the flag
+    // (seq_cst) and then synchronizes the epoch, so either this load sees
+    // the clear (fall back to the locked path) or the flip's synchronize
+    // waits for this guard to exit before touching the representation.
+    if (FastReads.load(std::memory_order_seq_cst)) {
+      const Plan &P = *Resolve();
+      if (P.EpochEligible) {
+        assert(!P.ForMutation && "epoch-eligible plans are read-only");
+        OpScope Scope(Ctx);
+        Ctx.LockFree = true;
+        // Non-owning alias of the published root: a refcount bump on
+        // the root's control block would be one shared RMW per query,
+        // the very line this path removes. The epoch guard keeps the
+        // whole tree alive — the retirement flip synchronizes before
+        // dropping it. Interior instances are still pinned by owning
+        // copies the container lookups hand out, so a concurrently
+        // removed instance outlives its visit.
+        NodeInstPtr RootAlias(std::shared_ptr<NodeInstance>(),
+                              FastRoot.load(std::memory_order_seq_cst));
+        [[maybe_unused]] ExecStatus St =
+            Executor.run(P, Input, std::move(RootAlias), Ctx);
+        assert(St == ExecStatus::Ok && "lock-free query plans cannot restart");
+        uint32_t N = Ctx.numStates(P.ResultVar);
+        for (uint32_t I = 0; I < N; ++I)
+          Visit(Ctx.stateTuple(P.ResultVar, I));
+        return N; // Scope recycles the frames
+      }
+    }
+  } // exit the guard before possibly blocking on the gate
+  OpGate::Scope G(Gate);
+  EpochDomain::Guard EG;
+  const Plan &P = *Resolve();
   Ctx.Locks.setOrderDomain(0, LockDomain);
   for (unsigned Attempt = 0;; ++Attempt) {
     OpScope Scope(Ctx);
@@ -229,10 +274,12 @@ ConcurrentRelation::runQueryPlan(const Plan &P, const Tuple &Input,
   }
 }
 
-unsigned ConcurrentRelation::runRemovePlan(const Plan &P, const Tuple &S) {
-  assert(EpochDomain::global().inGuard() &&
-         "plan execution requires an epoch guard (snapshots reclaim)");
+unsigned ConcurrentRelation::execRemove(function_ref<const Plan *()> Resolve,
+                                        const Tuple &S) {
   NumRemoves.inc();
+  OpGate::Scope G(Gate);
+  EpochDomain::Guard EG;
+  const Plan &P = *Resolve();
   ExecContext &Ctx = ExecContext::current();
   Ctx.Locks.setOrderDomain(0, LockDomain);
   Ctx.Count = &Count;
@@ -265,10 +312,12 @@ unsigned ConcurrentRelation::runRemovePlan(const Plan &P, const Tuple &S) {
   return Matched;
 }
 
-bool ConcurrentRelation::runInsertPlan(const Plan &P, const Tuple &Full) {
-  assert(EpochDomain::global().inGuard() &&
-         "plan execution requires an epoch guard (snapshots reclaim)");
+bool ConcurrentRelation::execInsert(function_ref<const Plan *()> Resolve,
+                                    const Tuple &Full) {
   NumInserts.inc();
+  OpGate::Scope G(Gate);
+  EpochDomain::Guard EG;
+  const Plan &P = *Resolve();
   ExecContext &Ctx = ExecContext::current();
   Ctx.Locks.setOrderDomain(0, LockDomain);
   Ctx.Count = &Count;
@@ -278,7 +327,7 @@ bool ConcurrentRelation::runInsertPlan(const Plan &P, const Tuple &Full) {
   // Insert plans never speculate (the §4.5 writer protocol takes
   // blocking, in-order locks), so like remove there is no retry loop.
   assert(St != ExecStatus::Restart && "mutation plans never speculate");
-  // Commit stamping under the plan's locks (see runRemovePlan); only a
+  // Commit stamping under the plan's locks (see execRemove); only a
   // winning put-if-absent mutated anything worth a version or record.
   if (St == ExecStatus::Ok) {
     CommitTicket T = beginCommit();
@@ -290,96 +339,42 @@ bool ConcurrentRelation::runInsertPlan(const Plan &P, const Tuple &Full) {
   return St == ExecStatus::Ok; // Found: a tuple matching s exists
 }
 
-bool ConcurrentRelation::tryFastQuery(
-    function_ref<const Plan *()> Resolve, const Tuple &Input,
-    function_ref<void(const Tuple &)> Visit, uint32_t *Matches) const {
-  EpochDomain::Guard EG;
-  // Flag check *inside* the guard: the retirement flip clears the flag
-  // (seq_cst) and then synchronizes the epoch, so either this load sees
-  // the clear (fall back to the locked path) or the flip's synchronize
-  // waits for this guard to exit before touching the representation.
-  if (!FastReads.load(std::memory_order_seq_cst))
-    return false;
-  const Plan *P = Resolve();
-  if (!P->EpochEligible)
-    return false;
-  uint32_t N = runFastQueryPlan(*P, Input, Visit);
-  if (Matches)
-    *Matches = N;
-  return true;
-}
-
-uint32_t ConcurrentRelation::runFastQueryPlan(
-    const Plan &P, const Tuple &Input,
-    function_ref<void(const Tuple &)> Visit) const {
-  assert(P.EpochEligible && !P.ForMutation &&
-         "the fast path requires an epoch-eligible query plan");
-  assert(EpochDomain::global().inGuard() &&
-         "the fast path runs entirely inside an epoch guard");
-  NumQueries.inc();
-  ExecContext &Ctx = ExecContext::current();
-  OpScope Scope(Ctx);
-  Ctx.LockFree = true;
-  // Non-owning alias of the published root: a refcount bump on the
-  // root's control block would be one shared RMW per query, the very
-  // line this path removes. The epoch guard keeps the whole tree alive
-  // — the retirement flip synchronizes before dropping it. Interior
-  // instances are still pinned by owning copies the container lookups
-  // hand out, so a concurrently removed instance outlives its visit.
-  NodeInstPtr RootAlias(std::shared_ptr<NodeInstance>(),
-                        FastRoot.load(std::memory_order_seq_cst));
-  [[maybe_unused]] ExecStatus St =
-      Executor.run(P, Input, std::move(RootAlias), Ctx);
-  assert(St == ExecStatus::Ok && "lock-free query plans cannot restart");
-  uint32_t N = Ctx.numStates(P.ResultVar);
-  for (uint32_t I = 0; I < N; ++I)
-    Visit(Ctx.stateTuple(P.ResultVar, I));
-  return N; // Scope recycles the frames
-}
-
-// The locked operations hold the gate from before plan resolution
-// until after execution: a migration flip that closes the gate is
-// therefore atomic with respect to entire operations — none can
-// resolve a plan under one representation regime and execute it under
-// the next (runtime/Migration.h). The epoch guard nests *inside* the
-// gate (never the reverse): blocking on a closed gate while pinning an
-// epoch would deadlock the flip's synchronize.
 std::vector<Tuple> ConcurrentRelation::query(const Tuple &S,
                                              ColumnSet C) const {
   std::vector<Tuple> Out;
-  auto Push = [&](const Tuple &T) { Out.push_back(T.project(C)); };
-  if (!tryFastQuery([&] { return queryPlanFor(S.domain(), C); }, S, Push,
-                    nullptr)) {
-    OpGate::Scope G(Gate);
-    EpochDomain::Guard EG;
-    runQueryPlan(*queryPlanFor(S.domain(), C), S, Push);
-  }
+  execQuery([&] { return queryPlanFor(S.domain(), C); }, S,
+            [&](const Tuple &T) { Out.push_back(T.project(C)); });
   std::sort(Out.begin(), Out.end(), TupleLess());
   Out.erase(std::unique(Out.begin(), Out.end()), Out.end());
   return Out;
 }
 
 unsigned ConcurrentRelation::remove(const Tuple &S) {
-  OpGate::Scope G(Gate);
-  EpochDomain::Guard EG;
-  // Asserted inside the gate: spec() reads Config, which a migration's
-  // retirement flip reassigns behind the gate barrier — an out-of-gate
-  // read would race the flip (caught by TSan under legacy-op traffic).
-  assert(spec().isKey(S.domain()) &&
-         "remove requires s to be a key (paper §2)");
-  return runRemovePlan(*removePlanFor(S.domain()), S);
+  return execRemove(
+      [&] {
+        // Asserted in the resolver, which runs inside the gate: spec()
+        // reads Config, which a migration's retirement flip reassigns
+        // behind the gate barrier — an out-of-gate read would race the
+        // flip (caught by TSan under legacy-op traffic).
+        assert(spec().isKey(S.domain()) &&
+               "remove requires s to be a key (paper §2)");
+        return removePlanFor(S.domain());
+      },
+      S);
 }
 
 bool ConcurrentRelation::insert(const Tuple &S, const Tuple &T) {
   assert(!S.domain().intersects(T.domain()) &&
          "insert requires disjoint s and t domains (paper §2)");
   Tuple Full = S.unionWith(T);
-  OpGate::Scope G(Gate);
-  EpochDomain::Guard EG;
-  // Inside the gate for the same reason as remove's key assert.
-  assert(Full.domain() == spec().allColumns() &&
-         "inserted tuple must value every column");
-  return runInsertPlan(*insertPlanFor(S.domain()), Full);
+  return execInsert(
+      [&] {
+        // Inside the gate for the same reason as remove's key assert.
+        assert(Full.domain() == spec().allColumns() &&
+               "inserted tuple must value every column");
+        return insertPlanFor(S.domain());
+      },
+      Full);
 }
 
 /// One quiescent traversal step (consistency checking): extends each

@@ -409,14 +409,14 @@ private:
   mutable std::atomic<NodeInstance *> FastRoot{nullptr};
   std::atomic<bool> FastReads{true};
 
-  /// Per-kind operation counters, striped per thread (Statistics.h):
+  /// Per-kind operation counters, striped per thread (obs::Counter):
   /// bumped on the shared execution paths — a single shared counter
   /// line would bounce between every operating core, which the
   /// wait-free read path exists to avoid. Backfill's internal
   /// executions are not counted.
-  mutable StripedCounter NumQueries;
-  StripedCounter NumInserts;
-  StripedCounter NumRemoves;
+  mutable obs::Counter NumQueries;
+  obs::Counter NumInserts;
+  obs::Counter NumRemoves;
 
   /// Migration state (runtime/Migration.cpp). ActiveMirror is the sink
   /// mutation executions install into their context: non-null exactly
@@ -458,7 +458,7 @@ private:
   /// Striped: wait-die kills under contention would otherwise bounce
   /// one shared line between every aborting core.
   static constexpr unsigned NumAbortCauses = 6;
-  mutable StripedCounter AbortCounts[NumAbortCauses];
+  mutable obs::Counter AbortCounts[NumAbortCauses];
 
   const Plan *queryPlanFor(ColumnSet DomS, ColumnSet C) const;
   const Plan *removePlanFor(ColumnSet DomS) const;
@@ -474,38 +474,26 @@ private:
   /// handles rebinding after adaptPlans()).
   const Plan *resolvePlan(PlanOp Op, ColumnSet DomS, ColumnSet C) const;
 
-  /// The shared execution paths: both the legacy Tuple-based methods
-  /// and the prepared handles funnel into these (the legacy API is a
-  /// thin wrapper that still builds tuples and hashes a signature; the
-  /// prepared path arrives here with a pre-resolved plan and the
-  /// thread's rebound input scratch).
+  /// The one execution protocol, one entry per operation kind: the
+  /// legacy Tuple-based methods pass a plan-cache resolver, the
+  /// prepared handles their epoch-bound plan. Each entry owns the
+  /// gate → epoch-guard ordering and calls \p Resolve inside both —
+  /// except execQuery's fast-path attempt, which resolves under the
+  /// epoch guard alone. An insert or remove resolver may therefore read
+  /// state a migration flip reassigns, like spec().
   ///
-  /// runQueryPlan executes \p P with input \p Input, releases the locks
+  /// execQuery first tries the wait-free fast path (fast reads on and
+  /// the plan epoch-eligible); otherwise it leaves that guard, enters
+  /// the gate, re-resolves, executes under shared locks, releases them
   /// (shrinking phase), then streams every matching state's full tuple
   /// — domain ⊇ dom(s) ∪ C, *not* projected, possibly with duplicate
-  /// projections — to \p Visit before recycling the context. Returns
-  /// the number of states visited. The visitor must not execute
-  /// relation operations on the same thread (asserted in debug).
-  uint32_t runQueryPlan(const Plan &P, const Tuple &Input,
-                        function_ref<void(const Tuple &)> Visit) const;
-  bool runInsertPlan(const Plan &P, const Tuple &Full);
-  unsigned runRemovePlan(const Plan &P, const Tuple &S);
-
-  /// The wait-free read fast path. tryFastQuery enters an epoch guard,
-  /// checks the fast-reads flag, resolves the plan via \p Resolve
-  /// (inside the guard — plan snapshots reclaim on quiescence), and —
-  /// when the plan is epoch-eligible — executes it lock-free via
-  /// runFastQueryPlan, returning true. Returns false (no execution,
-  /// nothing counted) when the flag is down or the plan needs locks;
-  /// the caller then runs the locked path, gate first, *outside* any
-  /// guard held here — a reader pinning an epoch while blocked on a
-  /// closed gate would deadlock the retirement flip's synchronize.
-  bool tryFastQuery(function_ref<const Plan *()> Resolve,
-                    const Tuple &Input,
-                    function_ref<void(const Tuple &)> Visit,
-                    uint32_t *Matches) const;
-  uint32_t runFastQueryPlan(const Plan &P, const Tuple &Input,
-                            function_ref<void(const Tuple &)> Visit) const;
+  /// projections — to \p Visit. Returns the number of states visited.
+  /// The visitor must not execute relation operations on the same
+  /// thread (asserted in debug).
+  uint32_t execQuery(function_ref<const Plan *()> Resolve, const Tuple &Input,
+                     function_ref<void(const Tuple &)> Visit) const;
+  bool execInsert(function_ref<const Plan *()> Resolve, const Tuple &Full);
+  unsigned execRemove(function_ref<const Plan *()> Resolve, const Tuple &S);
 };
 
 } // namespace crs

@@ -132,46 +132,23 @@ const Plan *PreparedOpImpl::rebindForUpdateSlow() const {
   return P;
 }
 
-// Mutating prepared executions hold the relation's operation gate
-// across resolve + run, like the legacy entry points: a migration flip
-// is atomic with respect to the whole operation, so a handle can never
-// execute a plan resolved under a previous representation regime
-// (runtime/Migration.h). The epoch guard nests inside the gate (plan
-// snapshots reclaim through the epoch domain). Queries take the
-// wait-free path first: when fast reads are enabled and the bound plan
-// is epoch-eligible, the whole execution runs under an epoch guard
-// alone — no gate, no physical locks, nothing written shared. The
-// fallback drops the guard before entering the gate: blocking on a
-// closed gate while pinning an epoch would deadlock the retirement
-// flip's synchronize.
+// Prepared executions run the relation's one execution protocol
+// (ConcurrentRelation::exec*) with the handle's epoch-bound plan as the
+// resolver; the handle adds only its argument binding and the sampled
+// latency. The thread's scratch tuple is rebound in place from the slot
+// layout: after the first execution this writes values only. When no
+// registry is attached, the acquire load is the entire latency cost;
+// when attached, one thread-local countdown, and a clock read only on
+// the executions the sample period picks.
 uint32_t
 PreparedOpImpl::runQuery(const Value *Args,
                          function_ref<void(const Tuple &)> Visit) const {
   assert(Op == PlanOp::Query && "not a query handle");
-  // The thread's scratch tuple is rebound in place from the slot
-  // layout: after the first execution this writes values only.
   Tuple &Input = ExecContext::current().inputScratch();
   Input.rebind(Slots.data(), Args, Slots.size());
-  // Sampled latency: when no registry is attached, the acquire load is
-  // the entire cost; when attached, one thread-local countdown, and a
-  // clock read only on the executions the sample period picks.
   const detail::RelationObs *OS = Rel->observability();
   const uint64_t T0 = OS ? OS->Reg->maybeSampleStart() : 0;
-  {
-    EpochDomain::Guard EG;
-    if (Rel->FastReads.load(std::memory_order_seq_cst)) {
-      const Plan *P = resolve();
-      if (P->EpochEligible) {
-        uint32_t N = Rel->runFastQueryPlan(*P, Input, Visit);
-        if (CRS_UNLIKELY(T0 != 0))
-          recordLatency(OS, T0);
-        return N;
-      }
-    }
-  } // exit the guard before possibly blocking on the gate
-  OpGate::Scope G(Rel->Gate);
-  EpochDomain::Guard EG;
-  uint32_t N = Rel->runQueryPlan(*resolve(), Input, Visit);
+  uint32_t N = Rel->execQuery([this] { return resolve(); }, Input, Visit);
   if (CRS_UNLIKELY(T0 != 0))
     recordLatency(OS, T0);
   return N;
@@ -179,14 +156,11 @@ PreparedOpImpl::runQuery(const Value *Args,
 
 bool PreparedOpImpl::runInsert(const Value *Args) const {
   assert(Op == PlanOp::Insert && MutRel && "not an insert handle");
-  const detail::RelationObs *OS = Rel->observability();
-  const uint64_t T0 = OS ? OS->Reg->maybeSampleStart() : 0;
-  OpGate::Scope G(Rel->Gate);
-  EpochDomain::Guard EG;
-  const Plan *P = resolve();
   Tuple &Input = ExecContext::current().inputScratch();
   Input.rebind(Slots.data(), Args, Slots.size());
-  bool Won = MutRel->runInsertPlan(*P, Input);
+  const detail::RelationObs *OS = Rel->observability();
+  const uint64_t T0 = OS ? OS->Reg->maybeSampleStart() : 0;
+  bool Won = MutRel->execInsert([this] { return resolve(); }, Input);
   if (CRS_UNLIKELY(T0 != 0))
     recordLatency(OS, T0);
   return Won;
@@ -194,14 +168,11 @@ bool PreparedOpImpl::runInsert(const Value *Args) const {
 
 unsigned PreparedOpImpl::runRemove(const Value *Args) const {
   assert(Op == PlanOp::Remove && MutRel && "not a remove handle");
-  const detail::RelationObs *OS = Rel->observability();
-  const uint64_t T0 = OS ? OS->Reg->maybeSampleStart() : 0;
-  OpGate::Scope G(Rel->Gate);
-  EpochDomain::Guard EG;
-  const Plan *P = resolve();
   Tuple &Input = ExecContext::current().inputScratch();
   Input.rebind(Slots.data(), Args, Slots.size());
-  unsigned N = MutRel->runRemovePlan(*P, Input);
+  const detail::RelationObs *OS = Rel->observability();
+  const uint64_t T0 = OS ? OS->Reg->maybeSampleStart() : 0;
+  unsigned N = MutRel->execRemove([this] { return resolve(); }, Input);
   if (CRS_UNLIKELY(T0 != 0))
     recordLatency(OS, T0);
   return N;

@@ -233,22 +233,6 @@ public:
   /// for the single relation).
   void adaptPlans();
 
-  /// Toggles every shard's wait-free read fast path (see
-  /// ConcurrentRelation::setFastReads). Shards flip one at a time, so
-  /// mid-call some shards serve fast reads while others serve locked
-  /// ones — per-shard consistency is unaffected.
-  void setFastReads(bool Enabled) {
-    for (auto &S : Shards)
-      S->setFastReads(Enabled);
-  }
-  /// True if every shard currently has the fast path enabled.
-  bool fastReadsEnabled() const {
-    for (const auto &S : Shards)
-      if (!S->fastReadsEnabled())
-        return false;
-    return true;
-  }
-
   /// Quiescent whole-structure check: every shard's representation
   /// verifies, and every tuple lives on the shard its routing key
   /// hashes to.

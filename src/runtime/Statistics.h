@@ -22,46 +22,11 @@
 
 #include "plan/CostModel.h"
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 namespace crs {
-
-/// A cache-line-striped relaxed event counter for hot per-operation
-/// counting. A single shared atomic turns every counted operation into
-/// an RMW on one line bouncing between all cores — the very effect the
-/// per-node lock striping exists to avoid. Here each thread hashes to
-/// one of a fixed set of line-padded stripes (round-robin assignment at
-/// first use, so up to NumStripes threads never collide at all); reads
-/// sum the stripes. Monotonic and relaxed: readers diff successive
-/// sums, exactness at an instant is not part of the contract.
-class StripedCounter {
-public:
-  void inc() {
-    Stripes[threadStripe()].N.fetch_add(1, std::memory_order_relaxed);
-  }
-  uint64_t load() const {
-    uint64_t Sum = 0;
-    for (const Stripe &S : Stripes)
-      Sum += S.N.load(std::memory_order_relaxed);
-    return Sum;
-  }
-
-private:
-  static constexpr unsigned NumStripes = 16;
-  struct alignas(64) Stripe {
-    std::atomic<uint64_t> N{0};
-  };
-  static unsigned threadStripe() {
-    static std::atomic<unsigned> Next{0};
-    static thread_local const unsigned Mine =
-        Next.fetch_add(1, std::memory_order_relaxed) % NumStripes;
-    return Mine;
-  }
-  Stripe Stripes[NumStripes];
-};
 
 /// Cumulative per-kind operation counts of one relation (relaxed
 /// counters on the execution paths). The online tuner reads deltas of

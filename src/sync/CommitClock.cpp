@@ -67,10 +67,6 @@ void foldSlots(const RegistrySlot *Reg, uint64_t Sub, uint64_t &Min) {
 
 } // namespace
 
-uint64_t crs::nextCommitSeq() {
-  return CommitClock.V.fetch_add(1, std::memory_order_acq_rel) + 1;
-}
-
 uint64_t crs::commitClockNow() {
   return CommitClock.V.load(std::memory_order_acquire);
 }
@@ -87,7 +83,7 @@ CommitTicket crs::beginCommit() {
   // snapshot sits below the new sequence either way.
   CommitTicket T;
   T.Slot = claimSlot(InFlight, commitClockNow() + 1);
-  T.Seq = nextCommitSeq();
+  T.Seq = CommitClock.V.fetch_add(1, std::memory_order_acq_rel) + 1;
   // Settle the slot to the real sequence (a raise: Seq ≥ the pin).
   InFlight[T.Slot].V.store(T.Seq, std::memory_order_seq_cst);
   return T;

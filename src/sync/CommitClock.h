@@ -56,13 +56,6 @@
 
 namespace crs {
 
-/// The next commit sequence number (strictly positive, strictly
-/// monotone). Stamp while holding every lock the mutation touched.
-/// Mutations that install MVCC versions stamp through beginCommit()
-/// instead, so concurrent snapshot acquisition excludes them until
-/// their versions are fully installed.
-uint64_t nextCommitSeq();
-
 /// The highest commit sequence handed out so far (0 before the first
 /// commit). Read under an operation-gate barrier this is a checkpoint
 /// watermark: every mutation that stamped before the barrier is ≤ this,
@@ -79,7 +72,7 @@ uint64_t nextTxnBirthStamp();
 
 /// A stamped commit held open until its versions are installed.
 struct CommitTicket {
-  uint64_t Seq = 0;  ///< the commit sequence (nextCommitSeq)
+  uint64_t Seq = 0;  ///< the commit sequence
   unsigned Slot = 0; ///< registry slot held until endCommit
 };
 
@@ -89,9 +82,9 @@ struct CommitTicket {
 /// stableSnapshotSeq() either sees the registration or draws a clock
 /// value below the new sequence — there is no window in which the
 /// sequence is visible through the clock but absent from the registry.
-/// Call under every lock the commit holds (like nextCommitSeq); call
-/// endCommit() after the last version install, before or after the
-/// locks release (the locks do not protect the registry).
+/// Call under every lock the commit holds; call endCommit() after the
+/// last version install, before or after the locks release (the locks
+/// do not protect the registry).
 CommitTicket beginCommit();
 
 /// Deregisters \p T: every version of the commit is in the store, so

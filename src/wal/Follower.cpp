@@ -224,15 +224,17 @@ void FollowerRelation::applierLoop() {
   std::vector<CommitChannel::Item> Batch;
   for (;;) {
     Batch.clear();
-    Ch->drain(Batch);
+    uint64_t Published = Ch->drain(Batch);
     if (Batch.empty()) {
       // publish() bumps the stream sequence and enqueues under one
-      // mutex, so an empty drain with published ≥ our cursor means the
+      // mutex, and drain reports the sequence it saw under that mutex,
+      // so an empty drain with that value ≥ our cursor means the
       // missing records were *dropped* — a tail gap no younger item
       // will ever arrive to flag. Heal it now: otherwise the follower
       // stays stale (and stop() would wait forever on records that are
-      // never going to be delivered).
-      if (Ch->published() >= ExpectedStreamSeq) {
+      // never going to be delivered). A later published() read would
+      // also count a publish racing in after the drain as a gap.
+      if (Published >= ExpectedStreamSeq) {
         heal();
         continue;
       }

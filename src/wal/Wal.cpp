@@ -352,13 +352,12 @@ void CommitChannel::publish(WalRecord Rec) {
   Q.push_back({Seq, std::move(Rec)});
 }
 
-size_t CommitChannel::drain(std::vector<Item> &Out) {
+uint64_t CommitChannel::drain(std::vector<Item> &Out) {
   std::lock_guard<std::mutex> G(M);
-  size_t N = Q.size();
   for (Item &I : Q)
     Out.push_back(std::move(I));
   Q.clear();
-  return N;
+  return Published.load(std::memory_order_relaxed);
 }
 
 //===----------------------------------------------------------------------===//

@@ -117,9 +117,14 @@ public:
   /// Publisher side (WAL internal). Drops when full, never blocks.
   void publish(WalRecord Rec);
 
-  /// Pops every available item into \p Out (appending); returns the
-  /// number popped. Non-blocking.
-  size_t drain(std::vector<Item> &Out);
+  /// Pops every available item into \p Out (appending). Non-blocking.
+  /// Returns the stream sequence published as of the pop, read under
+  /// the same mutex: every item up to it is now in \p Out, was popped
+  /// by an earlier drain, or was dropped. A consumer whose cursor is at
+  /// or below the returned value after an empty drain has lost a tail —
+  /// the published() accessor read later cannot tell that from a
+  /// publish that landed in between.
+  uint64_t drain(std::vector<Item> &Out);
 
   /// Stream sequence numbers handed out so far (published + dropped).
   uint64_t published() const {

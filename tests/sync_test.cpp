@@ -5,7 +5,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "sync/DeadlockDetector.h"
 #include "sync/LockSet.h"
 #include "sync/PhysicalLock.h"
 
@@ -152,53 +151,6 @@ TEST(LockSet, ReleaseAllOnDestruction) {
   }
   EXPECT_TRUE(L.tryLock(LockMode::Exclusive));
   L.unlock(LockMode::Exclusive);
-}
-
-// ------------------------------------------------------ DeadlockDetector
-
-TEST(DeadlockDetector, DetectsTwoPartyCycle) {
-  DeadlockDetector Det;
-  // T1 holds R1, T2 holds R2; T1 waits for R2, then T2 waiting for R1
-  // closes the cycle.
-  Det.onAcquire(1, 101);
-  Det.onAcquire(2, 102);
-  EXPECT_FALSE(Det.onWait(1, 102));
-  EXPECT_TRUE(Det.onWait(2, 101));
-  EXPECT_EQ(Det.deadlocksDetected(), 1u);
-}
-
-TEST(DeadlockDetector, OrderedAcquisitionNeverCycles) {
-  DeadlockDetector Det;
-  // Both agents take resources in ascending order: no cycle possible.
-  Det.onAcquire(1, 1);
-  EXPECT_FALSE(Det.onWait(2, 1)); // T2 waits for R1
-  Det.onRelease(1, 1);
-  Det.onAcquire(2, 1);
-  EXPECT_FALSE(Det.onWait(1, 2));
-  Det.onAcquire(1, 2);
-  EXPECT_EQ(Det.deadlocksDetected(), 0u);
-}
-
-TEST(DeadlockDetector, ThreePartyCycle) {
-  DeadlockDetector Det;
-  Det.onAcquire(1, 10);
-  Det.onAcquire(2, 20);
-  Det.onAcquire(3, 30);
-  EXPECT_FALSE(Det.onWait(1, 20));
-  EXPECT_FALSE(Det.onWait(2, 30));
-  EXPECT_TRUE(Det.onWait(3, 10));
-}
-
-TEST(DeadlockDetector, SharedHoldersTracked) {
-  DeadlockDetector Det;
-  Det.onAcquire(1, 10);
-  Det.onAcquire(2, 10); // shared holders of R10
-  Det.onAcquire(2, 20);
-  EXPECT_FALSE(Det.onWait(3, 10));
-  Det.onRelease(1, 10);
-  Det.onRelease(2, 10);
-  Det.reset();
-  EXPECT_EQ(Det.deadlocksDetected(), 0u);
 }
 
 } // namespace

@@ -108,6 +108,15 @@ WriteAheadLog::Options walOpts(const std::string &Dir, unsigned Partitions = 1,
   return O;
 }
 
+/// Logs \p M as one commit the way a committer stamps it: a ticket from
+/// the in-flight registry, the append, then the window closes.
+void logOne(WriteAheadLog &Log, uint32_t Partition, uint32_t Shard,
+            const WalMutation &M) {
+  CommitTicket T = beginCommit();
+  Log.logCommit(Partition, T.Seq, Shard, &M, 1);
+  endCommit(T);
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -300,7 +309,7 @@ TEST(Wal, ConcurrentAppendsKeepPerThreadOrder) {
         WalMutation M{WalOp::Insert,
                       Tuple::of({{ColumnId(1), Value::ofInt(I)}})};
         // Shard doubles as the writer id so file order is attributable.
-        Log->logCommit(0, nextCommitSeq(), /*Shard=*/T, &M, 1);
+        logOne(*Log, 0, /*Shard=*/T, M);
       }
     });
   for (std::thread &W : Workers)
@@ -340,7 +349,7 @@ TEST(Wal, SyncModeIsDurableOnReturn) {
   // returns — no flush() needed.
   auto T0 = std::chrono::steady_clock::now();
   WalMutation M{WalOp::Insert, Tuple::of({{ColumnId(1), Value::ofInt(77)}})};
-  Log->logCommit(0, nextCommitSeq(), 0, &M, 1);
+  logOne(*Log, 0, 0, M);
   auto Waited = std::chrono::steady_clock::now() - T0;
   EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(Waited)
                 .count(),
@@ -360,12 +369,47 @@ TEST(Wal, ChannelDropsWhenFullButStreamSeqStaysDense) {
     Ch.publish(std::move(Rec));
   }
   std::vector<CommitChannel::Item> Items;
-  EXPECT_EQ(Ch.drain(Items), 2u);
+  EXPECT_EQ(Ch.drain(Items), 5u); // the sequence seen, dropped ones too
   ASSERT_EQ(Items.size(), 2u);
   EXPECT_EQ(Items[0].StreamSeq, 1u);
   EXPECT_EQ(Items[1].StreamSeq, 2u);
   EXPECT_EQ(Ch.published(), 5u); // dropped records still advance it:
   EXPECT_EQ(Ch.dropped(), 3u);   // the consumer sees the jump as a gap
+}
+
+// The follower's tail-gap test rests on drain's return value: with no
+// drops, every sequence a drain reports is in hand by that drain, even
+// while a publisher races it. (Reading published() after the drain
+// instead counts a publish that lands in between as a lost tail.)
+TEST(Wal, ChannelDrainReportsOnlyWhatItDelivered) {
+  constexpr uint64_t N = 20000;
+  CommitChannel Ch(/*Capacity=*/1 << 16); // never full: no drops
+  std::atomic<bool> Done{false};
+  std::thread Publisher([&] {
+    for (uint64_t I = 1; I <= N; ++I) {
+      WalRecord Rec;
+      Rec.CommitSeq = I;
+      Ch.publish(std::move(Rec));
+    }
+    Done.store(true, std::memory_order_release);
+  });
+  std::vector<CommitChannel::Item> Batch;
+  uint64_t Next = 1, OutOfOrder = 0, Undelivered = 0;
+  for (;;) {
+    bool Finished = Done.load(std::memory_order_acquire);
+    Batch.clear();
+    uint64_t Seen = Ch.drain(Batch);
+    for (const CommitChannel::Item &I : Batch)
+      OutOfOrder += I.StreamSeq != Next++;
+    Undelivered += Seen + 1 != Next; // a reported sequence not in hand
+    if (Finished && Batch.empty())
+      break;
+  }
+  Publisher.join();
+  EXPECT_EQ(OutOfOrder, 0u);
+  EXPECT_EQ(Undelivered, 0u);
+  EXPECT_EQ(Next, N + 1);
+  EXPECT_EQ(Ch.dropped(), 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -517,7 +561,7 @@ TEST(WalRecovery, TornTailIsTruncatedAndStateMatchesAdjustedOracle) {
   auto Reopened = WriteAheadLog::open(walOpts(D.Path), &Err);
   ASSERT_TRUE(Reopened) << Err;
   WalMutation M{WalOp::Insert, edge(Spec, 9999, 9999, 1)};
-  Reopened->logCommit(0, nextCommitSeq(), 0, &M, 1);
+  logOne(*Reopened, 0, 0, M);
   Reopened->flush();
   WalReadResult After = readWalPartition(Path);
   ASSERT_TRUE(After.ok()) << After.Error;
@@ -700,7 +744,7 @@ TEST(Follower, FileTailerSeesExactlyTheAppendedRecords) {
   for (int I = 0; I < 6; ++I) {
     WalMutation M{WalOp::Insert,
                   Tuple::of({{ColumnId(1), Value::ofInt(I)}})};
-    Log->logCommit(/*Partition=*/I % 2, nextCommitSeq(), 0, &M, 1);
+    logOne(*Log, /*Partition=*/I % 2, 0, M);
   }
   Log->flush();
   EXPECT_EQ(Tailer.poll(Seen), 6u);
@@ -708,7 +752,7 @@ TEST(Follower, FileTailerSeesExactlyTheAppendedRecords) {
   for (int I = 0; I < 3; ++I) {
     WalMutation M{WalOp::Remove,
                   Tuple::of({{ColumnId(1), Value::ofInt(I)}})};
-    Log->logCommit(0, nextCommitSeq(), 0, &M, 1);
+    logOne(*Log, 0, 0, M);
   }
   Log->flush();
   EXPECT_EQ(Tailer.poll(Seen), 3u);
@@ -849,7 +893,7 @@ TEST(WalSegments, TailerFollowsTheCursorAcrossRotations) {
   for (int I = 0; I < 40; ++I) {
     WalMutation M{WalOp::Insert,
                   Tuple::of({{ColumnId(1), Value::ofInt(I)}})};
-    Log->logCommit(0, nextCommitSeq(), 0, &M, 1);
+    logOne(*Log, 0, 0, M);
     if (I % 8 == 7) {
       Log->flush();
       Tailer.poll(Seen); // drain mid-stream so rotation happens between polls
